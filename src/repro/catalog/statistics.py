@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..types import DataType
+from ..types import DataType, encode_strings
 
 
 @dataclass
@@ -109,16 +109,29 @@ class ColumnStats:
     def collect(
         cls, values: np.ndarray, data_type: DataType, histogram_buckets: int = 32
     ) -> "ColumnStats":
-        """Collect stats (NDV, min/max, histogram, MCV) for one column."""
+        """Collect stats (NDV, min/max, histogram, MCV) for one column.
+
+        STRING columns are counted over their dictionary codes (values
+        that are not yet encoded are encoded first)."""
         n = len(values)
         if n == 0:
             return cls(ndv=0)
         if data_type is DataType.STRING:
-            counts: Dict[object, int] = {}
-            for value in values.tolist():
-                counts[value] = counts.get(value, 0) + 1
-            ndv = len(counts)
-            mcv = _mcv_from_counts(counts, n) if ndv <= MCV_NDV_LIMIT else {}
+            encoded = encode_strings(values)
+            code_counts = np.bincount(
+                encoded.codes, minlength=len(encoded.dictionary)
+            )
+            present = np.flatnonzero(code_counts)
+            ndv = len(present)
+            mcv: Dict[object, float] = {}
+            if ndv <= MCV_NDV_LIMIT:
+                counts = dict(
+                    zip(
+                        encoded.dictionary[present].tolist(),
+                        code_counts[present].tolist(),
+                    )
+                )
+                mcv = _mcv_from_counts(counts, n)
             return cls(ndv=ndv, mcv=mcv)
         unique, unique_counts = np.unique(values, return_counts=True)
         ndv = int(len(unique))
@@ -126,7 +139,7 @@ class ColumnStats:
         histogram = None
         if histogram_buckets > 0:
             histogram = Histogram.build(values, histogram_buckets)
-        mcv: Dict[object, float] = {}
+        mcv = {}
         if ndv <= MCV_NDV_LIMIT:
             counts = dict(zip(unique.tolist(), unique_counts.tolist()))
             mcv = _mcv_from_counts(counts, n)

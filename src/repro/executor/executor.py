@@ -36,6 +36,7 @@ from ..optimizer.physical import (
 )
 from ..optimizer.aggs import AggCompute
 from ..storage.database import Database
+from ..types import decode_column, literal_type
 from .iterators import execute_node, materialize_spool, sort_order_for
 from .runtime import ExecutionContext, ExecutionMetrics, KeyFactorCache
 from .scans import ScanManager
@@ -181,7 +182,9 @@ class Executor:
             plan = bind_scalars(plan, scalars)
         names, columns = self._run_named(plan, ctx)
         rows = (
-            list(zip(*[c.tolist() for c in columns])) if columns else []
+            list(zip(*[decode_column(c).tolist() for c in columns]))
+            if columns
+            else []
         )
         ctx.metrics.rows_output += len(rows)
         return QueryResult(name=query_plan.name, columns=names, rows=rows), plan
@@ -199,11 +202,9 @@ class Executor:
             raise ExecutionError(
                 f"scalar subquery produced {len(column)} rows"
             )
-        value = column[0]
+        value = decode_column(column)[0]
         if isinstance(value, np.generic):
             value = value.item()
-        from ..types import literal_type
-
         return value, literal_type(value)
 
     def _run_named(

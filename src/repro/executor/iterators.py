@@ -19,7 +19,14 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
-from ..expr.evaluator import Frame, evaluate, evaluate_predicate, frame_length
+from ..expr.evaluator import (
+    ROW_COUNT,
+    Frame,
+    evaluate,
+    evaluate_predicate,
+    frame_length,
+    keep_row_count,
+)
 from ..expr.expressions import AggExpr, AggFunc, ColumnRef, Expr
 from ..optimizer.aggs import AggCompute
 from ..optimizer.physical import (
@@ -36,7 +43,14 @@ from ..optimizer.physical import (
     PhysicalPlan,
 )
 from ..storage.worktable import WorkTable
-from ..types import DataType
+from ..types import (
+    NULL_CODE,
+    DataType,
+    StringColumn,
+    concat_columns,
+    unify_strings,
+)
+from .factorize import factorize_column, unique
 from .runtime import ExecutionContext
 
 
@@ -119,7 +133,10 @@ def _dispatch(plan: PhysicalPlan, ctx: ExecutionContext) -> Frame:
         # Interior projection: keep the child frame restricted to the
         # expressions the projection computes (keyed by expression).
         frame = execute_node(plan.child, ctx)
-        return {out.expr: evaluate(out.expr, frame) for out in plan.outputs}
+        return keep_row_count(
+            {out.expr: evaluate(out.expr, frame) for out in plan.outputs},
+            frame_length(frame),
+        )
     if isinstance(plan, PhysSort):
         frame = execute_node(plan.child, ctx)
         order = _sort_order(plan, frame, ctx)
@@ -133,9 +150,7 @@ def _dispatch(plan: PhysicalPlan, ctx: ExecutionContext) -> Frame:
 
 
 def _scan_frame(
-    plan_outputs: Tuple[Expr, ...],
-    conjuncts: Tuple[Expr, ...],
-    table_columns,
+    plan_outputs: Tuple[Expr, ...], conjuncts: Tuple[Expr, ...], table
 ) -> Frame:
     needed: Dict[Expr, np.ndarray] = {}
     wanted = set(plan_outputs)
@@ -144,8 +159,8 @@ def _scan_frame(
     for expr in wanted:
         if not isinstance(expr, ColumnRef):
             raise ExecutionError(f"scan cannot produce {expr!r}")
-        needed[expr] = table_columns(expr.column)
-    return needed
+        needed[expr] = table.raw_column(expr.column)
+    return keep_row_count(needed, table.row_count)
 
 
 def _scan(plan: PhysScan, ctx: ExecutionContext) -> Frame:
@@ -154,7 +169,7 @@ def _scan(plan: PhysScan, ctx: ExecutionContext) -> Frame:
         # per batch; the manager does the Def 5.1-split charging.
         return _restrict(ctx.scans.scan_frame(plan, ctx), plan.outputs)
     table = ctx.database.table(plan.table_ref.physical_name)
-    frame = _scan_frame(plan.outputs, plan.conjuncts, table.column)
+    frame = _scan_frame(plan.outputs, plan.conjuncts, table)
     rows = table.row_count
     ctx.metrics.rows_scanned += rows
     width = table.row_width()
@@ -179,7 +194,7 @@ def _index_scan(plan: PhysIndexScan, ctx: ExecutionContext) -> Frame:
         plan.low, plan.high, plan.low_inclusive, plan.high_inclusive
     )
     table = ctx.database.table(plan.table_ref.physical_name)
-    frame = _scan_frame(plan.outputs, plan.residual, table.column)
+    frame = _scan_frame(plan.outputs, plan.residual, table)
     frame = {k: v[positions] for k, v in frame.items()}
     ctx.metrics.rows_scanned += len(positions)
     ctx.metrics.cost_units += ctx.cost_model.index_scan(
@@ -200,7 +215,7 @@ def _restrict(frame: Frame, outputs: Tuple[Expr, ...]) -> Frame:
         if expr not in restricted:
             # Computable output (e.g. a passthrough expression).
             restricted[expr] = evaluate(expr, frame)
-    return restricted
+    return keep_row_count(restricted, frame_length(frame))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +277,10 @@ def _fused(plan: PhysFusedPipeline, ctx: ExecutionContext) -> Frame:
                     mask &= evaluate_predicate(conjunct, piece)
                 piece = {k: v[mask] for k, v in piece.items()}
             else:  # project
-                piece = {e: evaluate(e, piece) for e in stage.exprs}
+                piece = keep_row_count(
+                    {e: evaluate(e, piece) for e in stage.exprs},
+                    frame_length(piece),
+                )
             if charges:
                 # Per-stage output charge, mirroring the unfused
                 # operator-by-operator accounting exactly.
@@ -287,9 +305,7 @@ def _concat_frames(pieces: List[Frame]) -> Frame:
     live = [p for p in pieces if frame_length(p)] or pieces[:1]
     if len(live) == 1:
         return live[0]
-    return {
-        key: np.concatenate([p[key] for p in live]) for key in live[0]
-    }
+    return {key: concat_columns([p[key] for p in live]) for key in live[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +365,9 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
         unmatched = np.flatnonzero(~matched)
         joined = {}
         for key, col in left.items():
-            joined[key] = np.concatenate([col[left_idx], col[unmatched]])
+            joined[key] = concat_columns([col[left_idx], col[unmatched]])
         for key, col in right.items():
-            if key not in joined:
+            if key not in joined and key is not ROW_COUNT:
                 joined[key] = _null_extend(col[right_idx], len(unmatched))
     else:
         raise ExecutionError(f"unknown join type {plan.join_type!r}")
@@ -365,9 +381,14 @@ def _hash_join(plan: PhysHashJoin, ctx: ExecutionContext) -> Frame:
 
 def _null_extend(values: np.ndarray, pad: int) -> np.ndarray:
     """Append ``pad`` NULL entries: NaN for numeric columns (widening to
-    float64), None for object (string) columns."""
-    if values.dtype == np.object_:
-        return np.concatenate([values, np.full(pad, None, dtype=object)])
+    float64), the NULL code for STRING columns."""
+    if isinstance(values, StringColumn):
+        return StringColumn(
+            np.concatenate(
+                [values.codes, np.full(pad, NULL_CODE, dtype=values.dtype)]
+            ),
+            values.dictionary,
+        )
     return np.concatenate(
         [
             values.astype(np.float64, copy=False),
@@ -381,15 +402,15 @@ def _factorize(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """``(sorted uniques, int64 inverse codes)`` for one key column.
 
+    STRING columns factorize their codes, so their uniques are codes too.
     Routed through the batch's :class:`~repro.executor.runtime.KeyFactorCache`
     when the context carries one: spool reads and shared scans alias the
     producer's arrays, so every consumer of a CSE factorizes the *same*
-    ndarray objects and the per-column ``np.unique`` runs once per batch
+    ndarray objects and the per-column factorization runs once per batch
     instead of once per consumer."""
     if ctx is not None and ctx.factor_cache is not None:
         return ctx.factor_cache.factorize(col)
-    uniques, inverse = np.unique(col, return_inverse=True)
-    return uniques, inverse.astype(np.int64, copy=False)
+    return factorize_column(col)
 
 
 def _mix_codes(
@@ -401,7 +422,7 @@ def _mix_codes(
     if codes is None:
         return inverse
     radix = int(inverse.max()) + 1 if len(inverse) else 1
-    _, codes = np.unique(codes * radix + inverse, return_inverse=True)
+    _, codes = unique(codes * radix + inverse, return_inverse=True)
     return codes.astype(np.int64, copy=False)
 
 
@@ -410,8 +431,8 @@ def _joint_codes(
 ) -> np.ndarray:
     """Dense int64 codes per row, equal iff the key tuples are equal.
 
-    Each column is factorized with ``np.unique`` (memoized per batch via
-    ``ctx.factor_cache``) and the per-column codes are mixed pairwise.
+    Each column is factorized (memoized per batch via ``ctx.factor_cache``)
+    and the per-column codes are mixed pairwise.
     """
     codes: Optional[np.ndarray] = None
     for col in cols:
@@ -431,11 +452,19 @@ def _paired_codes(
     hit the batch's factor cache) and only uniques the two *unique* sets —
     small — to merge the domains. ``np.unique`` sorts and collapses NaNs
     on both paths, so the merged codes are identical to the direct ones.
+    STRING uniques are codes, so two dictionaries are merged first.
     """
     l_uniques, l_inverse = _factorize(lc, ctx)
     r_uniques, r_inverse = _factorize(rc, ctx)
+    if isinstance(lc, StringColumn) and isinstance(rc, StringColumn):
+        _, (l_uniques, r_uniques) = unify_strings(
+            [
+                StringColumn(l_uniques, lc.dictionary),
+                StringColumn(r_uniques, rc.dictionary),
+            ]
+        )
     merged = np.concatenate([l_uniques, r_uniques])
-    _, merged_inverse = np.unique(merged, return_inverse=True)
+    _, merged_inverse = unique(merged, return_inverse=True)
     merged_inverse = merged_inverse.astype(np.int64, copy=False)
     left_map = merged_inverse[: len(l_uniques)]
     right_map = merged_inverse[len(l_uniques):]
@@ -501,7 +530,7 @@ def _group_ids(
         return np.zeros(n, dtype=np.int64), (1 if n else 1), {}
     key_cols = [evaluate(k, frame) for k in keys]
     codes = _joint_codes(key_cols, ctx)
-    _, first_idx, inverse = np.unique(
+    _, first_idx, inverse = unique(
         codes, return_index=True, return_inverse=True
     )
     # np.unique numbers groups in sorted-key order; renumber them by first
@@ -515,9 +544,12 @@ def _group_ids(
     group_rows = first_idx[appearance]
     key_frame: Frame = {}
     for key_expr, col in zip(keys, key_cols):
-        key_frame[key_expr] = np.asarray(
-            col[group_rows], dtype=key_expr.data_type.numpy_dtype
-        )
+        if isinstance(col, StringColumn):
+            key_frame[key_expr] = col[group_rows]
+        else:
+            key_frame[key_expr] = np.asarray(
+                col[group_rows], dtype=key_expr.data_type.numpy_dtype
+            )
     return gids, count, key_frame
 
 
@@ -548,6 +580,8 @@ def _aggregate_column(
     if compute.arg is None:
         raise ExecutionError(f"aggregate {compute!r} requires an argument")
     values = evaluate(compute.arg, frame)
+    if isinstance(values, StringColumn):
+        return _string_extremum(func, values, gids, count)
     # NULLs (NaN, from outer-join null extension) are skipped per SQL
     # aggregate semantics. NULL-free inputs take the original fast path.
     nulls: Optional[np.ndarray] = None
@@ -602,6 +636,27 @@ def _aggregate_column(
     raise ExecutionError(f"unsupported aggregate function {func!r}")
 
 
+def _string_extremum(
+    func: AggFunc, values: StringColumn, gids: np.ndarray, count: int
+) -> StringColumn:
+    """MIN/MAX of a STRING column: the extreme code per group (sorted
+    dictionary), NULL for a group with no non-NULL value."""
+    if func not in (AggFunc.MIN, AggFunc.MAX):
+        raise ExecutionError(f"{func.value} over a STRING column")
+    codes = values.codes
+    if func is AggFunc.MAX:
+        # NULL_CODE sorts below every value code, so it never wins a MAX.
+        result = np.full(count, NULL_CODE, dtype=codes.dtype)
+        np.maximum.at(result, gids, codes)
+    else:
+        absent = np.iinfo(codes.dtype).max
+        result = np.full(count, absent, dtype=codes.dtype)
+        live = codes != NULL_CODE
+        np.minimum.at(result, gids[live], codes[live])
+        result[result == absent] = NULL_CODE
+    return StringColumn(result, values.dictionary)
+
+
 # ---------------------------------------------------------------------------
 # Filters, spools, sorting
 # ---------------------------------------------------------------------------
@@ -622,7 +677,7 @@ def _spool_read(plan: PhysSpoolRead, ctx: ExecutionContext) -> Frame:
     worktable = ctx.spool(plan.cse_id)
     frame: Frame = {}
     for name, expr in plan.column_map:
-        frame[expr] = worktable.column(name)
+        frame[expr] = worktable.raw_column(name)
     rows = worktable.row_count
     read_cost = ctx.cost_model.spool_read(rows, worktable.row_width())
     ctx.metrics.spool_rows_read += rows
@@ -742,26 +797,18 @@ def _spool_def(plan: PhysSpoolDef, ctx: ExecutionContext) -> Frame:
 
 
 def _rank_codes(values: np.ndarray) -> np.ndarray:
-    """Dense int64 rank codes for one sort key; NULL ranks largest.
+    """int64 rank codes for one sort key; NULL ranks largest.
 
-    NULL-extended outer-join frames (PR 6) flow NaN (numeric) and None
-    (object) columns into ORDER BY. Encoding each key as dense ranks with
+    NULL-extended outer-join frames flow NaN (numeric) and NULL-code
+    (STRING) columns into ORDER BY. Encoding each key as ranks with
     NULL = highest rank gives a single deterministic NULL order — NULLs
-    last ascending, first descending — on both dtypes, lets descending
+    last ascending, first descending — on every dtype, and lets descending
     sort negate the codes (``np.argsort(-codes)``) instead of reversing a
-    stable order (which broke multi-key stability on ties), and avoids
-    ``np.argsort`` on object arrays containing None (a TypeError)."""
-    if values.dtype == np.object_:
-        nulls = np.fromiter(
-            (v is None for v in values), dtype=bool, count=len(values)
-        )
-        live = values[~nulls]
-        uniq = sorted(set(live.tolist()))
-        rank = {v: i for i, v in enumerate(uniq)}
-        codes = np.full(len(values), len(uniq), dtype=np.int64)
-        codes[~nulls] = np.fromiter(
-            (rank[v] for v in live), dtype=np.int64, count=len(live)
-        )
+    stable order (which broke multi-key stability on ties). STRING codes
+    already rank their values (the dictionary is sorted)."""
+    if isinstance(values, StringColumn):
+        codes = values.codes.astype(np.int64)
+        codes[codes == NULL_CODE] = len(values.dictionary)
         return codes
     if np.issubdtype(values.dtype, np.floating):
         nulls = np.isnan(values)
@@ -771,7 +818,7 @@ def _rank_codes(values: np.ndarray) -> np.ndarray:
             codes = np.full(len(values), len(uniq), dtype=np.int64)
             codes[~nulls] = np.searchsorted(uniq, live)
             return codes
-    _, inverse = np.unique(values, return_inverse=True)
+    _, inverse = unique(values, return_inverse=True)
     return inverse.astype(np.int64, copy=False).reshape(len(values))
 
 

@@ -28,6 +28,7 @@ from ..obs import NULL_REGISTRY, NULL_TRACER, MetricsRegistry, OperatorStats, Tr
 from ..optimizer.cost import CostModel
 from ..storage.database import Database
 from ..storage.worktable import WorkTable
+from .factorize import factorize_column
 
 if TYPE_CHECKING:  # avoid the executor → serve → executor import cycle
     from ..serve.governor import CancellationToken
@@ -117,14 +118,14 @@ class ScanStats:
 class KeyFactorCache:
     """Batch-scoped memo of per-column key factorizations.
 
-    ``np.unique(col, return_inverse=True)`` dominates join/group-by key
-    processing, and a shared batch evaluates it repeatedly over the *same*
-    physical arrays: spool reads alias the producer worktable's columns and
-    shared scans alias the cached fetch, so every consumer of a CSE hands
-    the identical ndarray objects back to ``_joint_codes``. This cache
-    keys on array identity — ``id(col)`` plus a strong reference to the
-    array itself, which both pins the id against reuse and lets a cheap
-    ``is`` check reject hash collisions from a dead object's recycled id.
+    Factorizing key columns dominates join/group-by key processing, and a
+    shared batch does it repeatedly over the *same* physical arrays: spool
+    reads alias the producer worktable's columns and shared scans alias
+    the cached fetch, so every consumer of a CSE hands the identical
+    ndarray objects back to ``_joint_codes``. This cache keys on array
+    identity — ``id(col)`` plus a strong reference to the array itself,
+    which both pins the id against reuse and lets a cheap ``is`` check
+    reject hash collisions from a dead object's recycled id.
 
     Lifetime is one batch execution (created per ``execute`` call, shared
     across parallel tasks like ``spools``), so entries never outlive the
@@ -152,8 +153,7 @@ class KeyFactorCache:
             if entry is not None and entry[0] is col:
                 self.reuses += 1
                 return entry[1], entry[2]
-        uniques, inverse = np.unique(col, return_inverse=True)
-        inverse = inverse.astype(np.int64, copy=False)
+        uniques, inverse = factorize_column(col)
         with self._lock:
             self.factorizations += 1
             self._entries[key] = (col, uniques, inverse)
@@ -241,7 +241,7 @@ class ExecutionMetrics:
     spool_rows_read: int = 0
     spools_materialized: int = 0
     operator_invocations: int = 0
-    #: join/group-by key columns factorized (``np.unique`` actually run)
+    #: join/group-by key columns factorized (not served from the memo)
     #: vs. served from the batch's :class:`KeyFactorCache`. Copied from
     #: the cache once per batch (the cache is shared across tasks, so
     #: per-task metrics never carry partial counts).

@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
-from ..expr.evaluator import Frame, evaluate_predicate
+from ..expr.evaluator import Frame, evaluate_predicate, keep_row_count
 from ..expr.expressions import ColumnRef, Expr, TableRef
 from ..optimizer.physical import PhysScan
 from .runtime import ExecutionContext
@@ -142,7 +142,8 @@ class ScanManager:
                 return entry
             physical, names = key
             table = ctx.database.table(physical)
-            columns = {name: table.column(name) for name in sorted(names)}
+            # STRING columns stay encoded from here to result conversion.
+            columns = {name: table.raw_column(name) for name in sorted(names)}
             rows = table.row_count
             width = table.row_width()
             charge = ctx.cost_model.scan(rows, width, 0)
@@ -175,9 +176,11 @@ class ScanManager:
         exprs = set(plan.outputs)
         for conjunct in plan.conjuncts:
             exprs.update(conjunct.columns())
+        frame = keep_row_count(
+            {expr: entry.columns[expr.column] for expr in exprs}, entry.rows
+        )
         if not plan.conjuncts:
-            return {expr: entry.columns[expr.column] for expr in exprs}
-        frame = {expr: entry.columns[expr.column] for expr in exprs}
+            return frame
         filtered = self._filtered_entry(key, plan, frame, entry, ctx, stats)
         out: Frame = {}
         for expr in exprs:
@@ -190,7 +193,7 @@ class ScanManager:
                     expr.column, entry.columns[expr.column][filtered.mask]
                 )
             out[expr] = column
-        return out
+        return keep_row_count(out, int(np.count_nonzero(filtered.mask)))
 
     def _filtered_entry(
         self,

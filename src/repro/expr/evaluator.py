@@ -13,7 +13,13 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..errors import ExecutionError
-from ..types import DataType
+from ..types import (
+    NULL_CODE,
+    STRING_CODE_DTYPE,
+    DataType,
+    StringColumn,
+    unify_strings,
+)
 from .expressions import (
     AggExpr,
     And,
@@ -31,10 +37,33 @@ from .expressions import (
 Frame = Dict[Expr, np.ndarray]
 
 
+class _RowCount(Expr):
+    """Key of a zero-width column that carries a frame's row count when the
+    frame has no other column (e.g. a cross-join side feeding only
+    ``count(*)``)."""
+
+    data_type = DataType.BOOL
+
+    def __repr__(self) -> str:
+        return "<row count>"
+
+
+ROW_COUNT: Expr = _RowCount()
+
+
 def frame_length(frame: Frame) -> int:
     """Row count of a frame (0 when empty)."""
     first = next(iter(frame.values()), None)
     return 0 if first is None else len(first)
+
+
+def keep_row_count(frame: Frame, rows: int) -> Frame:
+    """``frame``, or a :data:`ROW_COUNT`-only frame of ``rows`` rows when
+    it has no columns, so the row count survives projecting every column
+    away."""
+    if frame:
+        return frame
+    return {ROW_COUNT: np.empty((rows, 0), dtype=bool)}
 
 
 def evaluate(expr: Expr, frame: Frame) -> np.ndarray:
@@ -45,23 +74,17 @@ def evaluate(expr: Expr, frame: Frame) -> np.ndarray:
         return frame[expr]
     if isinstance(expr, Literal):
         n = frame_length(frame)
+        if expr.data_type is DataType.STRING:
+            return StringColumn(
+                np.zeros(n, dtype=STRING_CODE_DTYPE),
+                np.array([expr.value], dtype=object),
+            )
         return np.full(n, expr.value, dtype=expr.data_type.numpy_dtype)
     if isinstance(expr, ColumnRef):
         raise ExecutionError(f"column {expr!r} not present in frame")
-    if isinstance(expr, Comparison):
-        return _evaluate_comparison(expr, frame)
-    if isinstance(expr, And):
-        result = evaluate(expr.terms[0], frame).astype(bool)
-        for term in expr.terms[1:]:
-            result = result & evaluate(term, frame).astype(bool)
-        return result
-    if isinstance(expr, Or):
-        result = evaluate(expr.terms[0], frame).astype(bool)
-        for term in expr.terms[1:]:
-            result = result | evaluate(term, frame).astype(bool)
-        return result
-    if isinstance(expr, Not):
-        return ~evaluate(expr.term, frame).astype(bool)
+    if isinstance(expr, (Comparison, And, Or, Not)):
+        # A boolean value is TRUE only where its three-valued result is.
+        return evaluate3(expr, frame)[0]
     if isinstance(expr, Arithmetic):
         return _evaluate_arithmetic(expr, frame)
     if isinstance(expr, AggExpr):
@@ -70,25 +93,6 @@ def evaluate(expr: Expr, frame: Frame) -> np.ndarray:
             "computed by the aggregation iterator"
         )
     raise ExecutionError(f"cannot evaluate expression {expr!r}")
-
-
-def _evaluate_comparison(expr: Comparison, frame: Frame) -> np.ndarray:
-    left = evaluate(expr.left, frame)
-    right = evaluate(expr.right, frame)
-    op = expr.op
-    if op is ComparisonOp.EQ:
-        return left == right
-    if op is ComparisonOp.NE:
-        return left != right
-    if op is ComparisonOp.LT:
-        return left < right
-    if op is ComparisonOp.LE:
-        return left <= right
-    if op is ComparisonOp.GT:
-        return left > right
-    if op is ComparisonOp.GE:
-        return left >= right
-    raise ExecutionError(f"unknown comparison operator {op!r}")
 
 
 def _evaluate_arithmetic(expr: Arithmetic, frame: Frame) -> np.ndarray:
@@ -113,9 +117,9 @@ def evaluate_predicate(predicate: Optional[Expr], frame: Frame) -> np.ndarray:
     """Evaluate a (possibly absent) predicate to a boolean mask.
 
     SQL three-valued logic: a row passes only when the predicate is TRUE.
-    NULLs (NaN in float columns, None in object columns) appear only
-    downstream of outer joins; frames without NULLs take the original
-    two-valued fast path unchanged.
+    NULLs (NaN in float columns, :data:`~repro.types.NULL_CODE` in STRING
+    codes) appear only downstream of outer joins; frames without NULLs
+    take the original two-valued fast path unchanged.
     """
     n = frame_length(frame)
     if predicate is None:
@@ -137,10 +141,10 @@ def null_mask(values: np.ndarray) -> Optional[np.ndarray]:
     """Boolean mask of NULL entries, or None when the column has none.
 
     Numeric NULLs are NaN (outer-join null extension casts to float64);
-    string NULLs are None entries in object arrays.
+    string NULLs carry the NULL code.
     """
-    if values.dtype == np.object_:
-        mask = np.asarray(values == None, dtype=bool)  # noqa: E711
+    if isinstance(values, StringColumn):
+        mask = values.codes == NULL_CODE
         return mask if mask.any() else None
     if np.issubdtype(values.dtype, np.floating):
         mask = np.isnan(values)
@@ -160,13 +164,11 @@ def evaluate3(expr: Expr, frame: Frame) -> "tuple[np.ndarray, Optional[np.ndarra
             values if values.dtype == np.bool_ else values.astype(bool)
         ), None
     if isinstance(expr, Comparison):
+        if expr.left.data_type is DataType.STRING:
+            return _compare_strings(expr, frame)
         left = evaluate(expr.left, frame)
         right = evaluate(expr.right, frame)
         nulls = _combine_nulls(null_mask(left), null_mask(right))
-        if nulls is not None and left.dtype == np.object_:
-            left = np.where(nulls, "", left)
-        if nulls is not None and right.dtype == np.object_:
-            right = np.where(nulls, "", right)
         raw = _raw_comparison(expr.op, left, right)
         if nulls is None:
             return raw, None
@@ -228,4 +230,54 @@ def _raw_comparison(
         return left > right
     if op is ComparisonOp.GE:
         return left >= right
+    raise ExecutionError(f"unknown comparison operator {op!r}")
+
+
+def _compare_strings(
+    expr: Comparison, frame: Frame
+) -> "tuple[np.ndarray, Optional[np.ndarray]]":
+    """A STRING comparison over dictionary codes.
+
+    A literal is located in the column's sorted dictionary by binary
+    search, so present, absent and out-of-range literals all reduce to one
+    code comparison; two columns are first mapped onto one dictionary."""
+    op, left_expr, right_expr = expr.op, expr.left, expr.right
+    if isinstance(left_expr, Literal) and not isinstance(right_expr, Literal):
+        op, left_expr, right_expr = op.flipped(), right_expr, left_expr
+    left = evaluate(left_expr, frame)
+    if isinstance(right_expr, Literal):
+        raw = _codes_vs_value(op, left, right_expr.value)
+        codes = left.codes
+        nulls = codes == NULL_CODE
+    else:
+        _, (codes, right_codes) = unify_strings(
+            [left, evaluate(right_expr, frame)]
+        )
+        raw = _raw_comparison(op, codes, right_codes)
+        nulls = (codes == NULL_CODE) | (right_codes == NULL_CODE)
+    if not nulls.any():
+        return raw, None
+    return raw & ~nulls, nulls
+
+
+def _codes_vs_value(
+    op: ComparisonOp, column: StringColumn, value: str
+) -> np.ndarray:
+    """``column <op> value`` via the value's insertion points ``lo``/``hi``
+    in the dictionary (``hi == lo + 1`` iff the value is present)."""
+    codes = column.codes
+    lo = int(np.searchsorted(column.dictionary, value, side="left"))
+    hi = int(np.searchsorted(column.dictionary, value, side="right"))
+    if op is ComparisonOp.EQ:
+        return codes == lo if hi > lo else np.zeros(len(codes), dtype=bool)
+    if op is ComparisonOp.NE:
+        return codes != lo if hi > lo else np.ones(len(codes), dtype=bool)
+    if op is ComparisonOp.LT:
+        return codes < lo
+    if op is ComparisonOp.LE:
+        return codes < hi
+    if op is ComparisonOp.GT:
+        return codes >= hi
+    if op is ComparisonOp.GE:
+        return codes >= lo
     raise ExecutionError(f"unknown comparison operator {op!r}")

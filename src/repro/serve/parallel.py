@@ -123,7 +123,7 @@ class ParallelExecutor(Executor):
         scans = ScanManager() if self.shared_scans else None
         # One key-factorization memo for the whole batch: spool reads and
         # shared scans alias arrays across tasks, so consumers of the same
-        # CSE reuse each other's ``np.unique`` work.
+        # CSE reuse each other's factorization work.
         factor_cache = KeyFactorCache()
         with self.tracer.span(
             "execute_batch",

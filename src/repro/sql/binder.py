@@ -885,7 +885,12 @@ class Binder:
             return self._bind_binary(expr, scope, cte_defs, subqueries, name)
         if isinstance(expr, sql_ast.SqlNot):
             return Not(
-                self._bind_expr(expr.term, scope, cte_defs, subqueries, name)
+                _boolean_operand(
+                    "NOT",
+                    self._bind_expr(
+                        expr.term, scope, cte_defs, subqueries, name
+                    ),
+                )
             )
         if isinstance(expr, sql_ast.SqlBetween):
             subject = self._bind_expr(
@@ -989,20 +994,15 @@ class Binder:
     def _bind_binary(
         self, binary: sql_ast.SqlBinary, scope, cte_defs, subqueries, name
     ) -> Expr:
-        if binary.op == "AND":
-            return And(
-                (
-                    self._bind_expr(binary.left, scope, cte_defs, subqueries, name),
-                    self._bind_expr(binary.right, scope, cte_defs, subqueries, name),
+        if binary.op in ("AND", "OR"):
+            terms = tuple(
+                _boolean_operand(
+                    binary.op,
+                    self._bind_expr(side, scope, cte_defs, subqueries, name),
                 )
+                for side in (binary.left, binary.right)
             )
-        if binary.op == "OR":
-            return Or(
-                (
-                    self._bind_expr(binary.left, scope, cte_defs, subqueries, name),
-                    self._bind_expr(binary.right, scope, cte_defs, subqueries, name),
-                )
-            )
+            return And(terms) if binary.op == "AND" else Or(terms)
         left = self._bind_expr(binary.left, scope, cte_defs, subqueries, name)
         right = self._bind_expr(binary.right, scope, cte_defs, subqueries, name)
         if binary.op in _COMPARISON_OPS:
@@ -1074,6 +1074,16 @@ class Binder:
             )
         subqueries[sid] = block
         return ScalarSubquery(sid, block.output[0].expr.data_type)
+
+
+def _boolean_operand(op: str, operand: Expr) -> Expr:
+    """``operand`` if it is boolean; AND/OR/NOT reject anything else."""
+    if operand.data_type is not DataType.BOOL:
+        raise BindError(
+            f"{op} needs boolean operands, got {operand.data_type.value} "
+            f"{operand!r}"
+        )
+    return operand
 
 
 def bind_batch(

@@ -5,6 +5,11 @@ identical length. Tables are append-only from the storage layer's point of
 view; updates happen through the view-maintenance machinery which works with
 delta tables rather than in-place mutation (mirroring how the paper treats
 updates, §6.4).
+
+STRING columns are stored dictionary-encoded
+(:class:`~repro.types.StringColumn`): :meth:`Table.column` and the row
+accessors decode them, while the executor reads the stored codes through
+:meth:`Table.raw_column`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from ..catalog.schema import TableSchema
 from ..errors import StorageError
-from ..types import DataType, coerce_column
+from ..types import DataType, coerce_column, concat_columns, decode_column
 
 
 class Table:
@@ -26,7 +31,9 @@ class Table:
         self._columns: Dict[str, np.ndarray] = {}
         if columns is None:
             for col in schema.columns:
-                self._columns[col.name] = np.empty(0, dtype=col.data_type.numpy_dtype)
+                self._columns[col.name] = coerce_column(
+                    np.empty(0, dtype=col.data_type.numpy_dtype), col.data_type
+                )
         else:
             self._set_columns(columns)
 
@@ -70,8 +77,8 @@ class Table:
 
     # -- access ------------------------------------------------------------
 
-    def column(self, name: str) -> np.ndarray:
-        """One column as a numpy array, by name."""
+    def raw_column(self, name: str) -> np.ndarray:
+        """One column as stored: STRING columns stay encoded."""
         try:
             return self._columns[name]
         except KeyError:
@@ -79,20 +86,27 @@ class Table:
                 f"table {self.schema.name!r} has no column {name!r}"
             ) from None
 
+    def column(self, name: str) -> np.ndarray:
+        """One column as a numpy array of values, by name."""
+        return decode_column(self.raw_column(name))
+
     def columns(self) -> Dict[str, np.ndarray]:
-        """A shallow copy of the column mapping."""
-        return dict(self._columns)
+        """Every column's values, by name."""
+        return {name: self.column(name) for name in self._columns}
 
     def row(self, index: int) -> Tuple[Any, ...]:
         """One row as a tuple, by position."""
         if not 0 <= index < self.row_count:
             raise StorageError(f"row index {index} out of range")
-        return tuple(self._columns[c.name][index] for c in self.schema.columns)
+        return tuple(
+            decode_column(self._columns[c.name][index : index + 1])[0]
+            for c in self.schema.columns
+        )
 
     def rows(self) -> List[Tuple[Any, ...]]:
         """All rows as tuples in schema column order."""
         names = self.schema.column_names
-        cols = [self._columns[n] for n in names]
+        cols = [self.column(n) for n in names]
         return list(zip(*[c.tolist() for c in cols])) if cols else []
 
     def select(self, mask_or_indices: np.ndarray) -> "Table":
@@ -125,7 +139,7 @@ class Table:
             new_values = coerce_column(
                 [row[position] for row in rows], col.data_type
             )
-            updated[col.name] = np.concatenate(
+            updated[col.name] = concat_columns(
                 [updated[col.name], new_values]
             )
         self._columns = updated

@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from ..errors import StorageError
-from ..types import DataType, coerce_column
+from ..types import DataType, coerce_column, decode_column
 
 
 class WorkTable:
@@ -52,7 +52,9 @@ class WorkTable:
             self.load(columns)
         else:
             for col_name, col_type in zip(self.column_names, self.column_types):
-                self._columns[col_name] = np.empty(0, dtype=col_type.numpy_dtype)
+                self._columns[col_name] = coerce_column(
+                    np.empty(0, dtype=col_type.numpy_dtype), col_type
+                )
 
     @property
     def signature_name(self) -> str:
@@ -62,7 +64,11 @@ class WorkTable:
         return self.name
 
     def load(self, columns: Mapping[str, np.ndarray]) -> None:
-        """Replace the work table's columns (validates names/lengths)."""
+        """Replace the work table's columns (validates names/lengths).
+
+        Engine-produced STRING columns arrive encoded and may hold NULL
+        codes (outer-join null extension); other input is validated and
+        encoded value by value."""
         if set(columns) != set(self.column_names):
             raise StorageError(
                 f"work table {self.name!r}: expected columns "
@@ -71,7 +77,7 @@ class WorkTable:
         length: Optional[int] = None
         loaded: Dict[str, np.ndarray] = {}
         for col_name, col_type in zip(self.column_names, self.column_types):
-            data = coerce_column(columns[col_name], col_type)
+            data = coerce_column(columns[col_name], col_type, allow_null=True)
             if length is None:
                 length = len(data)
             elif len(data) != length:
@@ -90,14 +96,18 @@ class WorkTable:
     def __len__(self) -> int:
         return self.row_count
 
-    def column(self, name: str) -> np.ndarray:
-        """One column, by name."""
+    def raw_column(self, name: str) -> np.ndarray:
+        """One column as stored: STRING columns stay encoded."""
         try:
             return self._columns[name]
         except KeyError:
             raise StorageError(
                 f"work table {self.name!r} has no column {name!r}"
             ) from None
+
+    def column(self, name: str) -> np.ndarray:
+        """One column's values, by name."""
+        return decode_column(self.raw_column(name))
 
     def column_type(self, name: str) -> DataType:
         """The declared type of one column."""
@@ -110,8 +120,8 @@ class WorkTable:
         return self.column_types[position]
 
     def columns(self) -> Dict[str, np.ndarray]:
-        """A shallow copy of the column mapping."""
-        return dict(self._columns)
+        """Every column's values, by name."""
+        return {name: self.column(name) for name in self._columns}
 
     def row_width(self) -> int:
         """Row width in bytes (sum of column type widths)."""

@@ -4,17 +4,23 @@ The engine stores data column-wise in numpy arrays. Each logical column type
 maps to a numpy dtype and carries coercion and comparison rules. Dates are
 stored as integer days since 1970-01-01 so that range predicates on dates are
 ordinary integer comparisons (the same trick commercial engines use).
+
+STRING columns are dictionary-encoded (:class:`StringColumn`): int32 codes
+into an immutable, sorted per-column dictionary. Values are validated and
+encoded once, where external input enters storage; the engine then
+compares, joins, groups, sorts and takes MIN/MAX over the codes and decodes
+only at the result boundary (:func:`decode_column`).
 """
 
 from __future__ import annotations
 
 import datetime as _dt
 import enum
-from typing import Any
+from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from .errors import StorageError
+from .errors import ExecutionError, StorageError
 
 _EPOCH = _dt.date(1970, 1, 1)
 
@@ -52,6 +58,8 @@ _NUMPY_DTYPES = {
     DataType.BOOL: np.bool_,
 }
 
+# ``numpy_dtype`` of STRING is the dtype of *decoded* values; stored STRING
+# columns are StringColumn codes (STRING_CODE_DTYPE).
 # STRING width is a nominal average; TPC-H varchar columns average ~25 bytes.
 _BYTE_WIDTHS = {
     DataType.INT: 8,
@@ -111,13 +119,149 @@ def coerce_value(value: Any, data_type: DataType) -> Any:
     raise StorageError(f"unknown data type {data_type!r}")
 
 
-def coerce_column(values: Any, data_type: DataType) -> np.ndarray:
-    """Coerce an iterable of values to a numpy column of ``data_type``."""
+def coerce_column(
+    values: Any, data_type: DataType, allow_null: bool = False
+) -> np.ndarray:
+    """Coerce an iterable of values to a numpy column of ``data_type``.
+
+    STRING values become a :class:`StringColumn`; an engine-produced
+    StringColumn passes after a code-range check (``allow_null`` admits
+    the NULL code, which only work tables may hold)."""
+    if data_type is DataType.STRING:
+        return encode_strings(values, allow_null)
     if isinstance(values, np.ndarray) and values.dtype == data_type.numpy_dtype:
-        if data_type is not DataType.STRING:
-            return values
+        return values
     coerced = [coerce_value(v, data_type) for v in values]
     return np.array(coerced, dtype=data_type.numpy_dtype)
+
+
+# ---------------------------------------------------------------------------
+# Dictionary-encoded strings
+# ---------------------------------------------------------------------------
+
+#: dtype of STRING codes.
+STRING_CODE_DTYPE = np.dtype(np.int32)
+#: code of a NULL string (outer-join null extension); below every value code.
+NULL_CODE = -1
+
+
+class StringColumn(np.ndarray):
+    """A STRING column: int32 codes into a sorted dictionary.
+
+    ``dictionary`` is an object array of distinct ``str`` in ascending
+    order, shared (never mutated) by every column derived from this one;
+    code ``i`` stands for ``dictionary[i]`` and :data:`NULL_CODE` for NULL.
+    Because the dictionary is sorted, code order is string order. Slicing,
+    masking and fancy indexing keep the dictionary; numpy ufuncs are
+    refused, since two columns' codes compare only over one dictionary
+    (see :func:`unify_strings`) — kernels work on :attr:`codes`.
+    """
+
+    dictionary: np.ndarray
+
+    def __new__(cls, codes: Any, dictionary: np.ndarray) -> "StringColumn":
+        column = np.asarray(codes, dtype=STRING_CODE_DTYPE).view(cls)
+        column.dictionary = dictionary
+        return column
+
+    def __array_finalize__(self, obj: Any) -> None:
+        self.dictionary = getattr(obj, "dictionary", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        raise ExecutionError(
+            f"numpy {ufunc.__name__} over STRING codes; use the dictionary"
+        )
+
+    @property
+    def codes(self) -> np.ndarray:
+        """The codes as a plain int32 array (a view, no copy)."""
+        return self.view(np.ndarray)
+
+    def decode(self) -> np.ndarray:
+        """The values as an object array (None for NULL)."""
+        # NULL_CODE (-1) indexes the appended None.
+        return np.append(self.dictionary, None)[self.codes]
+
+
+def encode_strings(values: Any, allow_null: bool = False) -> StringColumn:
+    """Validate and dictionary-encode STRING input.
+
+    External values are checked one by one (a non-str raises
+    :class:`StorageError`, as :func:`coerce_value` would); a StringColumn
+    gets a dtype and code-range check instead of a walk."""
+    if isinstance(values, StringColumn):
+        _check_codes(values, allow_null)
+        return values
+    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if any(not issubclass(kind, str) for kind in set(map(type, items))):
+        # Raises, naming the first value that is not a str.
+        coerce_value(
+            next(v for v in items if not isinstance(v, str)), DataType.STRING
+        )
+    dictionary = sorted(set(items))
+    lookup = {value: code for code, value in enumerate(dictionary)}
+    codes = np.fromiter(
+        map(lookup.__getitem__, items),
+        dtype=STRING_CODE_DTYPE,
+        count=len(items),
+    )
+    return StringColumn(codes, np.array(dictionary, dtype=object))
+
+
+def _check_codes(column: StringColumn, allow_null: bool) -> None:
+    if column.dtype != STRING_CODE_DTYPE or column.dictionary is None:
+        raise StorageError(f"malformed STRING column of dtype {column.dtype}")
+    if len(column) == 0:
+        return
+    codes = column.codes
+    low = NULL_CODE if allow_null else 0
+    if int(codes.min()) < low or int(codes.max()) >= len(column.dictionary):
+        raise StorageError(
+            "STRING codes out of range for their dictionary"
+            + ("" if allow_null else " (NULL values are not supported)")
+        )
+
+
+def _same_dictionary(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or (len(a) == len(b) and bool(np.array_equal(a, b)))
+
+
+def unify_strings(
+    columns: Sequence[StringColumn],
+) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """One sorted dictionary over several STRING columns, and each column's
+    codes re-mapped into it (NULL stays :data:`NULL_CODE`).
+
+    Columns that already share a dictionary keep their codes (no copy)."""
+    first = columns[0].dictionary
+    if all(_same_dictionary(c.dictionary, first) for c in columns[1:]):
+        return first, [c.codes for c in columns]
+    merged = np.array(
+        sorted(set().union(*(c.dictionary.tolist() for c in columns))),
+        dtype=object,
+    )
+    remapped = []
+    for column in columns:
+        remap = np.searchsorted(merged, column.dictionary).astype(
+            STRING_CODE_DTYPE
+        )
+        remapped.append(np.append(remap, NULL_CODE)[column.codes])
+    return merged, remapped
+
+
+def concat_columns(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.concatenate`` that merges STRING dictionaries."""
+    if isinstance(parts[0], StringColumn):
+        dictionary, codes = unify_strings(parts)  # type: ignore[arg-type]
+        return StringColumn(np.concatenate(codes), dictionary)
+    return np.concatenate(parts)
+
+
+def decode_column(values: np.ndarray) -> np.ndarray:
+    """A column with STRING codes decoded to values; others unchanged."""
+    if isinstance(values, StringColumn):
+        return values.decode()
+    return values
 
 
 def literal_type(value: Any) -> DataType:

@@ -91,6 +91,23 @@ class TestPredicates:
         with pytest.raises(BindError):
             bind_sql(catalog, "select 1 from customer where c_name > 5")
 
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            "l_partkey or p_partkey",
+            "l_partkey = p_partkey and p_size",
+            "not l_quantity",
+        ],
+    )
+    def test_non_boolean_logic_operands_rejected(self, catalog, predicate):
+        """AND/OR/NOT over non-boolean operands used to bind and run as a
+        cartesian product; they are now a bind error."""
+        with pytest.raises(BindError, match="boolean operands"):
+            bind_sql(
+                catalog,
+                f"select count(*) as c from lineitem, part where {predicate}",
+            )
+
     def test_malformed_date_literal_is_a_bind_error(self, catalog):
         """A bad ISO string fails coercion, falls through to the
         comparability check, and surfaces as BindError — not as a raw

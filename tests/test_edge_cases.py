@@ -197,3 +197,38 @@ class TestDegenerateStatistics:
         assert outcome.execution.results[0].rows == []
         outcome = session.execute("select count(*) as n, sum(a) as s from t")
         assert outcome.execution.results[0].rows[0][0] == 0
+
+
+class TestZeroColumnCrossJoin:
+    """A cross-join side that feeds only ``count(*)`` contributes no
+    columns; its frame must still carry its row count."""
+
+    @pytest.mark.parametrize("preagg", [True, False])
+    def test_count_over_cross_join(self, small_db, preagg):
+        session = Session(small_db, OptimizerOptions(enable_preagg=preagg))
+        sql = "select count(*) as c from nation, region"
+        batch = session.bind(sql)
+        rows = session.execute(batch).execution.results[0].rows
+        assert rows == evaluate_batch(small_db, batch)["Q1"] == [(125,)]
+
+    @pytest.mark.parametrize("preagg", [True, False])
+    def test_grouped_count_over_cross_join(self, small_db, preagg):
+        session = Session(small_db, OptimizerOptions(enable_preagg=preagg))
+        sql = (
+            "select r_name, count(*) as c from nation, region group by r_name"
+        )
+        batch = session.bind(sql)
+        rows = session.execute(batch).execution.results[0].rows
+        assert sorted(rows) == sorted(evaluate_batch(small_db, batch)["Q1"])
+        assert sorted(rows)[0] == ("AFRICA", 25)
+        assert len(rows) == 5
+
+    def test_filtered_side_without_columns(self, small_db):
+        session = Session(small_db)
+        sql = (
+            "select count(*) as c from nation, region "
+            "where n_regionkey = 1"
+        )
+        batch = session.bind(sql)
+        rows = session.execute(batch).execution.results[0].rows
+        assert rows == evaluate_batch(small_db, batch)["Q1"] == [(25,)]

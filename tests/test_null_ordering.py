@@ -1,6 +1,6 @@
 """NULL ordering through ORDER BY: engine and oracle must agree.
 
-NULL-extended outer-join frames (PR 6) flow ``None`` (object columns) and
+NULL-extended outer-join frames flow the NULL code (STRING columns) and
 ``NaN`` (numeric columns) into ORDER BY. The engine encodes each sort key as
 dense rank codes with NULL ranking largest — NULLs last ascending, first
 descending, on both dtypes — and the reference oracle sorts with stable
@@ -19,7 +19,7 @@ from repro import OptimizerOptions, Session
 from repro.executor.iterators import _rank_codes, sort_order_for
 from repro.executor.reference import evaluate_batch
 from repro.expr.expressions import ColumnRef, TableRef
-from repro.types import DataType
+from repro.types import NULL_CODE, DataType, StringColumn
 
 #: pinned seed for the randomized sweep (satellite regression anchor).
 PINNED_SEED = 20260807
@@ -38,8 +38,11 @@ class TestRankCodes:
         assert codes.dtype == np.int64
         assert list(codes) == [2, 3, 0, 1, 3]
 
-    def test_object_none_ranks_largest(self):
-        values = np.array(["b", None, "a", None, "c"], dtype=object)
+    def test_string_null_code_ranks_largest(self):
+        values = StringColumn(
+            [1, NULL_CODE, 0, NULL_CODE, 2],
+            np.array(["a", "b", "c"], dtype=object),
+        )
         codes = _rank_codes(values)
         assert list(codes) == [1, 3, 0, 3, 2]
 
@@ -60,9 +63,13 @@ class TestSortOrder:
         desc = sort_order_for(((col, True),), frame)
         assert list(desc) == [1, 0, 2]
 
-    def test_object_none_ordering(self):
+    def test_string_null_code_ordering(self):
         col = _col("s", DataType.STRING)
-        frame = {col: np.array(["b", None, "a"], dtype=object)}
+        frame = {
+            col: StringColumn(
+                [1, NULL_CODE, 0], np.array(["a", "b"], dtype=object)
+            )
+        }
         assert list(sort_order_for(((col, False),), frame)) == [2, 0, 1]
         assert list(sort_order_for(((col, True),), frame)) == [1, 0, 2]
 

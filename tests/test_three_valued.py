@@ -3,7 +3,7 @@ skipping aggregation.
 
 The widened surface introduces NULLs (outer-join null extension) into an
 engine that was previously NULL-free. Numeric NULLs are NaN in float64
-columns, string NULLs are None entries in object arrays; the vectorized
+columns, string NULLs carry the NULL code in STRING columns; the vectorized
 evaluator (:func:`repro.expr.evaluator.evaluate3`) and the row-at-a-time
 oracle (``_eval_scalar``) must agree on Kleene semantics exactly, and
 aggregates must skip NULLs (with SQL's one wart: COUNT(*) counts them).
@@ -27,7 +27,7 @@ from repro.expr.expressions import (
     eq,
     gt,
 )
-from repro.types import DataType
+from repro.types import NULL_CODE, DataType, StringColumn
 
 T = TableRef("t", 1)
 P = ColumnRef(T, "p", DataType.FLOAT)
@@ -77,8 +77,10 @@ class TestNullMask:
         mask = null_mask(np.array([1.0, float("nan")]))
         assert mask.tolist() == [False, True]
 
-    def test_object_with_none(self):
-        mask = null_mask(np.array(["a", None, "b"], dtype=object))
+    def test_string_with_null_code(self):
+        mask = null_mask(
+            StringColumn([0, NULL_CODE, 1], np.array(["a", "b"], dtype=object))
+        )
         assert mask.tolist() == [False, True, False]
 
 
@@ -89,8 +91,12 @@ class TestEvaluate3:
         assert true.tolist() == [True, False, False]
         assert nulls.tolist() == [False, True, False]
 
-    def test_comparison_with_none_string_is_null(self):
-        frame = {S: np.array(["a", None, "b"], dtype=object)}
+    def test_comparison_with_null_string_code_is_null(self):
+        frame = {
+            S: StringColumn(
+                [0, NULL_CODE, 1], np.array(["a", "b"], dtype=object)
+            )
+        }
         true, nulls = evaluate3(eq(S, Literal("b")), frame)
         assert true.tolist() == [False, False, True]
         assert nulls.tolist() == [False, True, False]
